@@ -32,11 +32,9 @@ func main() {
 
 		pollInterval = flag.Duration("poll-interval", 2*time.Second, "advisory replica poll interval surfaced in every manifest")
 
-		canaryPercent    = flag.Float64("canary-percent", 25, "share of replicas (rounded up, at least one) assigned to the canary ring")
-		minAgreement     = flag.Float64("min-agreement", 0.9, "shadow-agreement rate below which a rollout auto-rolls back")
-		minShadowSamples = flag.Uint64("min-shadow-samples", 20, "shadow samples a heartbeat needs before its agreement is trusted")
-		maxP99Ratio      = flag.Float64("max-p99-ratio", 0, "roll back when a canary's select p99 exceeds this multiple of its pre-rollout baseline (0 disables)")
-		replicaTTL       = flag.Duration("replica-ttl", time.Minute, "heartbeat age after which a replica stops counting toward rollout gates")
+		canaryPercent = flag.Float64("canary-percent", 25, "share of replicas (rounded up, at least one) assigned to the canary ring")
+		maxP99Ratio   = flag.Float64("max-p99-ratio", 0, "roll back when a canary's select p99 exceeds this multiple of its pre-rollout baseline (0 disables)")
+		replicaTTL    = flag.Duration("replica-ttl", time.Minute, "heartbeat age after which a replica stops counting toward rollout gates")
 
 		shutdownTimeout = flag.Duration("shutdown-timeout", 10*time.Second, "deadline for draining in-flight requests on SIGINT/SIGTERM")
 	)
@@ -44,11 +42,9 @@ func main() {
 
 	o := obs.New(os.Stderr, obs.ParseLevel(*logLevel))
 	if err := run(o, *addr, *storeDir, *bundle, controlplane.RolloutConfig{
-		CanaryPercent:    *canaryPercent,
-		MinAgreement:     *minAgreement,
-		MinShadowSamples: *minShadowSamples,
-		MaxP99Ratio:      *maxP99Ratio,
-		ReplicaTTL:       *replicaTTL,
+		CanaryPercent: *canaryPercent,
+		MaxP99Ratio:   *maxP99Ratio,
+		ReplicaTTL:    *replicaTTL,
 	}, *pollInterval, *shutdownTimeout); err != nil {
 		o.Logger.Error("fatal", "error", err.Error())
 		os.Exit(1)

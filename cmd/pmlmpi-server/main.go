@@ -36,15 +36,14 @@ import (
 
 // options collects the flag-derived server configuration.
 type options struct {
-	bundlePath    string
-	addr          string
-	ringSize      int
-	cacheEntries  int
-	cacheShards   int
-	cacheTTL      time.Duration
-	batchWorkers  int
-	parallelTrees int
-	forestEval    string
+	bundlePath   string
+	addr         string
+	ringSize     int
+	cacheEntries int
+	cacheShards  int
+	cacheTTL     time.Duration
+	batchWorkers int
+	forestEval   string
 
 	registryKeep   int
 	bundleWatch    bool
@@ -67,13 +66,12 @@ type options struct {
 	retrainDriftWindows int
 	promotePolicy       string
 
-	controlPlane     string
-	replicaID        string
-	advertise        string
-	manifestPoll     time.Duration
-	stageSoak        time.Duration
-	minAgreement     float64
-	minShadowSamples uint64
+	controlPlane string
+	replicaID    string
+	advertise    string
+	manifestPoll time.Duration
+	stageSoak    time.Duration
+	soakGate     registry.Gate
 
 	traceSampleRate float64
 	traceCapacity   int
@@ -93,9 +91,8 @@ func main() {
 		cacheShards  = flag.Int("cache-shards", 16, "decision-cache shard count (rounded up to a power of two)")
 		cacheTTL     = flag.Duration("cache-ttl", 10*time.Minute, "decision-cache entry lifetime (0 = never expire)")
 
-		batchWorkers  = flag.Int("batch-workers", 0, "worker-pool size for /v1/select/batch (0 = GOMAXPROCS)")
-		parallelTrees = flag.Int("parallel-trees", 0, "evaluate forests with at least this many trees concurrently (0 disables; pointer evaluator only)")
-		forestEval    = flag.String("forest-eval", selector.EvalCompiled, "forest evaluator: compiled (SoA fast path) or pointer (reference walk)")
+		batchWorkers = flag.Int("batch-workers", 0, "worker-pool size for /v1/select/batch (0 = GOMAXPROCS)")
+		forestEval   = flag.String("forest-eval", selector.EvalCompiled, "forest evaluator: compiled (SoA fast path) or pointer (reference walk)")
 
 		registryKeep   = flag.Int("registry-keep", 4, "model generations kept resident for promote/rollback")
 		bundleWatch    = flag.Bool("bundle-watch", false, "poll the bundle file and hot-swap changed content automatically")
@@ -123,8 +120,8 @@ func main() {
 		advertise        = flag.String("advertise", "", "this replica's own base URL, reported in heartbeats for discovery")
 		manifestPoll     = flag.Duration("manifest-poll", 2*time.Second, "control-plane manifest poll (and heartbeat) interval")
 		stageSoak        = flag.Duration("stage-soak", 10*time.Second, "shadow-evaluation soak before a pulled candidate is promoted (negative = promote immediately)")
-		minAgreement     = flag.Float64("min-agreement", 0.9, "shadow-agreement rate below which a soaking candidate is rejected")
-		minShadowSamples = flag.Uint64("min-shadow-samples", 20, "shadow samples required before the agreement gate judges a candidate")
+		minAgreement     = flag.Float64("min-agreement", registry.DefaultGate.MinAgreement, "shadow-agreement rate below which a soaking candidate is rejected")
+		minShadowSamples = flag.Uint64("min-shadow-samples", registry.DefaultGate.MinSamples, "shadow samples required before the agreement gate judges a candidate")
 
 		traceSampleRate = flag.Float64("trace-sample-rate", 0.01, "head-based trace sampling fraction in [0,1] (0 disables tracing)")
 		traceCapacity   = flag.Int("trace-capacity", obs.DefaultTraceCapacity, "sampled traces retained for /debug/traces")
@@ -136,15 +133,14 @@ func main() {
 
 	o := obs.New(os.Stderr, obs.ParseLevel(*logLevel))
 	err := run(o, options{
-		bundlePath:    *bundlePath,
-		addr:          *addr,
-		ringSize:      *ringSize,
-		cacheEntries:  *cacheEntries,
-		cacheShards:   *cacheShards,
-		cacheTTL:      *cacheTTL,
-		batchWorkers:  *batchWorkers,
-		parallelTrees: *parallelTrees,
-		forestEval:    *forestEval,
+		bundlePath:   *bundlePath,
+		addr:         *addr,
+		ringSize:     *ringSize,
+		cacheEntries: *cacheEntries,
+		cacheShards:  *cacheShards,
+		cacheTTL:     *cacheTTL,
+		batchWorkers: *batchWorkers,
+		forestEval:   *forestEval,
 
 		registryKeep:   *registryKeep,
 		bundleWatch:    *bundleWatch,
@@ -167,13 +163,12 @@ func main() {
 		retrainDriftWindows: *retrainDriftWindows,
 		promotePolicy:       *promotePolicy,
 
-		controlPlane:     *controlPlane,
-		replicaID:        *replicaID,
-		advertise:        *advertise,
-		manifestPoll:     *manifestPoll,
-		stageSoak:        *stageSoak,
-		minAgreement:     *minAgreement,
-		minShadowSamples: *minShadowSamples,
+		controlPlane: *controlPlane,
+		replicaID:    *replicaID,
+		advertise:    *advertise,
+		manifestPoll: *manifestPoll,
+		stageSoak:    *stageSoak,
+		soakGate:     registry.Gate{MinAgreement: *minAgreement, MinSamples: *minShadowSamples},
 
 		traceSampleRate: *traceSampleRate,
 		traceCapacity:   *traceCapacity,
@@ -262,14 +257,13 @@ func run(o *obs.Obs, opts options) error {
 	})
 
 	sel := selector.NewFromSource(reg, o, selector.Config{
-		RingSize:              opts.ringSize,
-		Cache:                 decisionCache,
-		BatchWorkers:          opts.batchWorkers,
-		ParallelTreeThreshold: opts.parallelTrees,
-		ForestEval:            opts.forestEval,
-		Shadow:                shadow,
-		SLO:                   tracker,
-		Health:                health,
+		RingSize:     opts.ringSize,
+		Cache:        decisionCache,
+		BatchWorkers: opts.batchWorkers,
+		ForestEval:   opts.forestEval,
+		Shadow:       shadow,
+		SLO:          tracker,
+		Health:       health,
 	})
 	shadow.SetNamer(sel.AlgorithmName)
 	shadow.SetHealthSink(health.RecordShadow)
@@ -294,17 +288,16 @@ func run(o *obs.Obs, opts options) error {
 			}
 		}
 		agent, err = replica.NewAgent(o, replica.AgentConfig{
-			ControlPlane:     opts.controlPlane,
-			ReplicaID:        id,
-			Advertise:        opts.advertise,
-			Registry:         reg,
-			Shadow:           shadow,
-			Health:           health,
-			SLO:              tracker,
-			PollInterval:     opts.manifestPoll,
-			StageSoak:        opts.stageSoak,
-			MinAgreement:     opts.minAgreement,
-			MinShadowSamples: opts.minShadowSamples,
+			ControlPlane: opts.controlPlane,
+			ReplicaID:    id,
+			Advertise:    opts.advertise,
+			Registry:     reg,
+			Shadow:       shadow,
+			Health:       health,
+			SLO:          tracker,
+			PollInterval: opts.manifestPoll,
+			StageSoak:    opts.stageSoak,
+			Gate:         opts.soakGate,
 		})
 		if err != nil {
 			return fmt.Errorf("replica agent: %w", err)

@@ -4,7 +4,7 @@
 // the desired generation, heartbeat ingestion carrying each replica's
 // serving state and model-health evidence, and a staged-rollout state
 // machine (canary ring first, fleet on healthy heartbeats, auto-rollback
-// on degraded shadow agreement, drift, or latency).
+// on a replica's shadow-agreement rejection, drift, or latency).
 //
 // The protocol is pull-based and stateless on the wire: replicas poll
 // GET /v1/manifest (cheap 304 via ETag in steady state), fetch missing
@@ -49,8 +49,9 @@ const (
 	// CandidatePromoted: the candidate passed the local soak gate and is
 	// now the active generation.
 	CandidatePromoted = "promoted"
-	// CandidateRejected: shadow agreement fell below the replica's local
-	// threshold; the candidate was never promoted.
+	// CandidateRejected: the replica's soak gate failed the candidate's
+	// shadow agreement; the candidate was never promoted. This is the only
+	// agreement verdict the rollout controller acts on.
 	CandidateRejected = "rejected"
 )
 

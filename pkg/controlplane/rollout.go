@@ -13,13 +13,6 @@ type RolloutConfig struct {
 	// CanaryPercent is the share of replicas (by count, rounded up, at
 	// least one) assigned to the canary ring. Default 25.
 	CanaryPercent float64
-	// MinAgreement is the minimum shadow-agreement rate a candidate must
-	// hold once MinShadowSamples of evidence exist; below it the rollout
-	// auto-rolls back. Default 0.9.
-	MinAgreement float64
-	// MinShadowSamples is how many shadow comparisons a heartbeat must
-	// carry before its agreement rate is trusted as evidence. Default 20.
-	MinShadowSamples uint64
 	// MaxP99Ratio rolls back when a replica serving the candidate reports
 	// a select p99 more than this multiple of its pre-rollout baseline.
 	// 0 disables the latency gate.
@@ -36,12 +29,6 @@ type RolloutConfig struct {
 func (c *RolloutConfig) fill() {
 	if c.CanaryPercent <= 0 || c.CanaryPercent > 100 {
 		c.CanaryPercent = 25
-	}
-	if c.MinAgreement <= 0 || c.MinAgreement > 1 {
-		c.MinAgreement = 0.9
-	}
-	if c.MinShadowSamples == 0 {
-		c.MinShadowSamples = 20
 	}
 	if c.ReplicaTTL <= 0 {
 		c.ReplicaTTL = 60 * time.Second
@@ -256,7 +243,9 @@ func (r *Rollout) evaluateLocked(now time.Time) {
 	cutoff := now.Add(-r.cfg.ReplicaTTL)
 
 	// Gates first: any live replica with evidence against the candidate
-	// rolls the whole fleet back.
+	// rolls the whole fleet back. Shadow agreement is judged once, by the
+	// replica's soak gate; its rejection heartbeat is the verdict acted on
+	// here.
 	for id, st := range r.replicas {
 		if st.lastSeen.Before(cutoff) {
 			continue
@@ -265,13 +254,6 @@ func (r *Rollout) evaluateLocked(now time.Time) {
 		if hb.CandidateHash == r.candidate && hb.CandidateStatus == CandidateRejected {
 			r.rollbackLocked(fmt.Sprintf("replica %s rejected candidate (shadow agreement %.3f over %d samples)",
 				id, hb.CandidateAgreement, hb.CandidateSamples))
-			return
-		}
-		if hb.CandidateHash == r.candidate &&
-			hb.CandidateSamples >= r.cfg.MinShadowSamples &&
-			hb.CandidateAgreement < r.cfg.MinAgreement {
-			r.rollbackLocked(fmt.Sprintf("replica %s shadow agreement %.3f below %.3f (%d samples)",
-				id, hb.CandidateAgreement, r.cfg.MinAgreement, hb.CandidateSamples))
 			return
 		}
 		if hb.ActiveHash == r.candidate && hb.DriftStatus == "alert" {
@@ -375,10 +357,8 @@ type Snapshot struct {
 	BundleCount    int           `json:"bundle_count"`
 	Replicas       []ReplicaInfo `json:"replicas"`
 	Config         struct {
-		CanaryPercent    float64 `json:"canary_percent"`
-		MinAgreement     float64 `json:"min_agreement"`
-		MinShadowSamples uint64  `json:"min_shadow_samples"`
-		MaxP99Ratio      float64 `json:"max_p99_ratio,omitempty"`
+		CanaryPercent float64 `json:"canary_percent"`
+		MaxP99Ratio   float64 `json:"max_p99_ratio,omitempty"`
 	} `json:"config"`
 }
 
@@ -397,8 +377,6 @@ func (r *Rollout) Snapshot() Snapshot {
 		BundleCount:    r.store.Len(),
 	}
 	snap.Config.CanaryPercent = r.cfg.CanaryPercent
-	snap.Config.MinAgreement = r.cfg.MinAgreement
-	snap.Config.MinShadowSamples = r.cfg.MinShadowSamples
 	snap.Config.MaxP99Ratio = r.cfg.MaxP99Ratio
 	cutoff := now.Add(-r.cfg.ReplicaTTL)
 	ids := make([]string, 0, len(r.replicas))

@@ -26,11 +26,9 @@ func newTestRollout(t *testing.T, clock *fakeClock) (*Rollout, *Store, string, s
 		t.Fatalf("Put candidate: %v", err)
 	}
 	ro := NewRollout(store, RolloutConfig{
-		CanaryPercent:    25,
-		MinAgreement:     0.9,
-		MinShadowSamples: 10,
-		ReplicaTTL:       30 * time.Second,
-		Now:              clock.now,
+		CanaryPercent: 25,
+		ReplicaTTL:    30 * time.Second,
+		Now:           clock.now,
 	})
 	if err := ro.SetStable(stable); err != nil {
 		t.Fatalf("SetStable: %v", err)
@@ -214,25 +212,32 @@ func TestRolloutRollsBackOnRejectedCandidate(t *testing.T) {
 	}
 }
 
-func TestRolloutRollsBackOnLowAgreementEvidence(t *testing.T) {
+// TestRolloutActsOnReplicaVerdictNotRawAgreement pins where the agreement
+// gate lives: the replica's soak judges shadow evidence, and the control
+// plane acts only on its verdict. A soaking heartbeat carrying low
+// agreement over many samples is evidence still being judged, not a
+// rollback; the same evidence reported as rejected is.
+func TestRolloutActsOnReplicaVerdictNotRawAgreement(t *testing.T) {
 	clock := newFakeClock()
 	ro, _, stable, cand := newTestRollout(t, clock)
 	register(ro, stable, "r-a", "r-b")
 	ro.Start(cand)
 
-	// Thin evidence below threshold is ignored (< MinShadowSamples).
 	ro.Observe(Heartbeat{ReplicaID: "r-a", ActiveHash: stable,
 		CandidateHash: cand, CandidateStatus: CandidateSoaking,
-		CandidateSamples: 5, CandidateAgreement: 0.2})
+		CandidateSamples: 500, CandidateAgreement: 0.1})
 	if s := ro.Snapshot(); s.State != StateCanary {
-		t.Fatalf("rolled back on %d samples, below MinShadowSamples", 5)
+		t.Fatalf("state = %s on a soaking heartbeat, want canary (reason %q)", s.State, s.RollbackReason)
 	}
-	// Enough samples with low agreement trips the gate.
 	ro.Observe(Heartbeat{ReplicaID: "r-a", ActiveHash: stable,
-		CandidateHash: cand, CandidateStatus: CandidateSoaking,
-		CandidateSamples: 25, CandidateAgreement: 0.5})
-	if s := ro.Snapshot(); s.State != StateRolledBack {
-		t.Fatalf("state = %s with agreement 0.5 over 25 samples, want rolled_back", s.State)
+		CandidateHash: cand, CandidateStatus: CandidateRejected,
+		CandidateSamples: 500, CandidateAgreement: 0.1})
+	s := ro.Snapshot()
+	if s.State != StateRolledBack {
+		t.Fatalf("state = %s on a rejection heartbeat, want rolled_back", s.State)
+	}
+	if !strings.Contains(s.RollbackReason, "r-a rejected") {
+		t.Fatalf("rollback reason %q does not name the rejecting replica", s.RollbackReason)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,14 +118,15 @@ func newFleetReplica(t *testing.T, ctlURL, id string, soak time.Duration) *fleet
 	t.Cleanup(sh.Stop)
 
 	a, err := replica.NewAgent(o, replica.AgentConfig{
-		ControlPlane:     ctlURL,
-		ReplicaID:        id,
-		Registry:         reg,
-		Shadow:           sh,
-		PollInterval:     5 * time.Millisecond,
-		StageSoak:        soak,
-		MinAgreement:     0.9,
-		MinShadowSamples: 8,
+		ControlPlane: ctlURL,
+		ReplicaID:    id,
+		Registry:     reg,
+		Shadow:       sh,
+		PollInterval: 5 * time.Millisecond,
+		StageSoak:    soak,
+		// The default agreement floor over fewer samples, so the soak
+		// reaches a verdict within a few ticks of test traffic.
+		Gate: registry.Gate{MinAgreement: registry.DefaultGate.MinAgreement, MinSamples: 8},
 	})
 	if err != nil {
 		t.Fatalf("NewAgent(%s): %v", id, err)
@@ -166,14 +168,13 @@ func (r *fleetReplica) feedSelects(ctx context.Context, t *testing.T, n int) {
 
 const rolloutDeadline = 30 * time.Second
 
-// fleetRolloutConfig gates rollouts on the same thresholds the agents
-// soak with, so both layers judge candidates consistently.
+// fleetRolloutConfig carries no agreement thresholds: the agents' soak
+// gate is the only judge of shadow agreement, and the control plane acts
+// on their rejection heartbeats.
 func fleetRolloutConfig() controlplane.RolloutConfig {
 	return controlplane.RolloutConfig{
-		CanaryPercent:    25, // 3 replicas -> 1-replica canary ring
-		MinAgreement:     0.9,
-		MinShadowSamples: 8,
-		ReplicaTTL:       time.Minute,
+		CanaryPercent: 25, // 3 replicas -> 1-replica canary ring
+		ReplicaTTL:    time.Minute,
 	}
 }
 
@@ -277,7 +278,8 @@ func TestFleetStagedRolloutPromotes(t *testing.T) {
 // TestFleetAutoRollbackNeverServesBadCandidate rolls out a candidate
 // that disagrees with the stable model on every decision. The canary
 // soaks it against live traffic, shadow agreement lands at exactly 0.0,
-// the replica rejects it, and the control plane rolls the fleet back.
+// the replica's soak gate rejects it, and the control plane rolls the
+// fleet back on that rejection heartbeat.
 // The invariant under test: at no point does ANY replica — canary
 // included, since rejection fires before the soak deadline — serve the
 // bad hash, and non-canary replicas never even see it as a candidate.
@@ -336,8 +338,8 @@ func TestFleetAutoRollbackNeverServesBadCandidate(t *testing.T) {
 			if snap.StableHash != stable {
 				t.Fatalf("rolled back to %q, want original stable", snap.StableHash)
 			}
-			if snap.RollbackReason == "" {
-				t.Fatal("rollback recorded no reason")
+			if !strings.Contains(snap.RollbackReason, "r0 rejected candidate") {
+				t.Fatalf("rollback reason %q, want the canary's rejection", snap.RollbackReason)
 			}
 			if !sawSoak {
 				t.Fatal("canary never soaked the candidate; rollback came from the wrong path")

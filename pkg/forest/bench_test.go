@@ -8,8 +8,7 @@ import (
 )
 
 // benchShapes spans the forest sizes the selector sees in practice: the
-// shipped bundle's scale (tens of trees), and the larger ensembles the
-// parallel path targets.
+// shipped bundle's scale (tens of trees), and larger ensembles.
 var benchShapes = []struct {
 	trees, depth int
 }{
@@ -29,13 +28,6 @@ func BenchmarkForestPredict(b *testing.B) {
 		b.Run(fmt.Sprintf("trees=%d/depth=%d", shape.trees, shape.depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := c.Forest.Predict(x); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("trees=%d/depth=%d/parallel", shape.trees, shape.depth), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Forest.PredictWith(x, 4); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -11,9 +11,7 @@
 // the split threshold and a meta word (feature index in the low 16 bits,
 // right-child index or leaf ordinal above) into 16 bytes, so the walk costs
 // one bounds check and one cache line per node — a fraction of the pointer
-// representation's 56-byte nodes. The wire format (binary.go) stays plain
-// structure-of-arrays: featureIdx []uint16, threshold []float64, childOffset
-// []int32, plus leaf payloads.
+// representation's 56-byte nodes.
 //
 // The compiled evaluator is bit-identical to forest.Forest.Predict: leaf
 // distributions accumulate in the same tree and class order, votes use the
@@ -34,9 +32,6 @@ import (
 
 	"github.com/pml-mpi/pmlmpi/pkg/forest"
 )
-
-// leafSentinel marks a leaf in the wire format's feature-index array.
-const leafSentinel = math.MaxUint16
 
 // leafFlag marks a leaf in the in-memory meta word (bit 15 of the feature
 // bits), and featMask extracts the real feature index below it. Compile
@@ -107,8 +102,7 @@ func (n node) off() int32 { return int32(uint32(n.meta >> 16)) }
 //     leafProbs offset of its class distribution plus its precomputed
 //     hard-vote class;
 //   - leafProbs holds leaf k's class distribution at [k*nClasses,
-//     (k+1)*nClasses) and leafVotes[k] is its hard-vote class (the wire
-//     format's view of the same data).
+//     (k+1)*nClasses).
 //
 // roots[t] is tree t's root index (trees are stored contiguously, so the
 // roots double as tree boundaries).
@@ -118,7 +112,6 @@ type Forest struct {
 	roots     []int32
 	nodes     []node
 	leafRef   []uint64
-	leafVotes []int32
 	leafProbs []float64
 
 	// BatchThreshold is the vector count at or above which PredictBatch
@@ -146,7 +139,7 @@ func (cf *Forest) NumTrees() int { return len(cf.roots) }
 func (cf *Forest) NumNodes() int { return len(cf.nodes) }
 
 // NumLeaves returns the total leaf count across all trees.
-func (cf *Forest) NumLeaves() int { return len(cf.leafVotes) }
+func (cf *Forest) NumLeaves() int { return len(cf.leafProbs) / cf.nClasses }
 
 // Instrument registers fn to receive the wall-clock seconds of every
 // subsequent predict call, or removes the hook when fn is nil. Safe to call
@@ -220,7 +213,6 @@ func Compile(f *forest.Forest, numFeatures int) (*Forest, error) {
 				}
 				cf.nodes = append(cf.nodes, packLeaf(int32(len(cf.nodes))))
 				cf.leafRef = append(cf.leafRef, packLeafRef(int32(len(cf.leafProbs)), int32(best)))
-				cf.leafVotes = append(cf.leafVotes, int32(best))
 				cf.leafProbs = append(cf.leafProbs, n.D...)
 				return
 			}
@@ -239,7 +231,7 @@ func Compile(f *forest.Forest, numFeatures int) (*Forest, error) {
 // Decompile reconstructs a pointer-linked forest from the compiled form.
 // Node order within each tree is the compiled preorder, not the source
 // order, but the tree structure, thresholds, and leaf distributions are
-// exact — Compile(Decompile(cf)) re-encodes to the same bytes, and every
+// exact — Compile(Decompile(cf)) rebuilds the same arena, and every
 // prediction is bit-identical. Used by the differential tests.
 func (cf *Forest) Decompile() *forest.Forest {
 	f := &forest.Forest{
@@ -298,9 +290,8 @@ const treeChunk = 64
 // requires it; see accumulate for the leaf-only case).
 // The inner loop reads nodes and x through raw pointers: bounds checks cost
 // ~15% of the whole predict here, and every index is already proven in
-// range before evaluation ever starts — Compile and UnmarshalBinary
-// validate that each node's packed offset stays inside its tree's arena
-// segment, each split's feature index is below nFeatures (and PredictInto
+// range before evaluation ever starts — Compile validates that each
+// node's packed offset stays inside its tree's arena segment, each split's feature index is below nFeatures (and PredictInto
 // rejects vectors shorter than nFeatures), and a parked leaf's feature bits
 // mask to 0 (walkChunk's callers guarantee len(x) > 0).
 func walkChunk(nodes []node, x []float64, roots []int32, li []int32) {

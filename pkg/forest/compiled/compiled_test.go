@@ -2,7 +2,6 @@ package compiled_test
 
 import (
 	"math"
-	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -117,7 +116,7 @@ func TestCompiledMatchesPointerOnTrainedFixture(t *testing.T) {
 
 // TestDecompileRoundTrip proves Compile preserves full structure: the
 // decompiled forest validates, predicts bit-identically to the original,
-// and recompiling it reproduces the exact arena bytes (Compile∘Decompile
+// and recompiling it reproduces the exact arena (Compile∘Decompile
 // is a fixed point, even though node order within a tree is re-laid in
 // preorder).
 func TestDecompileRoundTrip(t *testing.T) {
@@ -147,10 +146,14 @@ func TestDecompileRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: recompile: %v", name, err)
 		}
-		b1, _ := cf.MarshalBinary()
-		b2, _ := again.MarshalBinary()
-		if !reflect.DeepEqual(b1, b2) {
-			t.Fatalf("%s: Compile(Decompile(cf)) encodes differently than cf", name)
+		if !compiled.SameArena(cf, again) {
+			t.Fatalf("%s: Compile(Decompile(cf)) builds a different arena than cf", name)
+		}
+		// The comparison must be able to fail: a forest from another seed
+		// has a different arena.
+		other := synth.MustNew(synth.Config{Seed: 12, Trees: 9, Depth: 5, Features: 6, Classes: 4})
+		if compiled.SameArena(cf, other.Collectives[name].Compiled()) {
+			t.Fatalf("%s: arenas from different seeds compare equal", name)
 		}
 	}
 }

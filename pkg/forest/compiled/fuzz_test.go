@@ -76,8 +76,7 @@ func fuzzVector(seed int64, vecBytes []byte, n int) []float64 {
 // evaluator to the pointer walk: for every generated forest and feature
 // vector — including NaN/Inf payloads smuggled in through raw float bits —
 // the class, every probability, and every vote must be bit-identical across
-// the single compiled path, the batch path, and a binary
-// marshal/unmarshal round trip. Seed corpus lives in
+// the single compiled path and the batch path. Seed corpus lives in
 // testdata/fuzz/FuzzCompiledVsPointer (regenerate with `go test
 // -run=FuzzCompiledVsPointer -fuzz=FuzzCompiledVsPointer -fuzztime=30s
 // ./pkg/forest/compiled`).
@@ -121,57 +120,5 @@ func FuzzCompiledVsPointer(f *testing.F) {
 			t.Fatalf("PredictBatch: %v", err)
 		}
 		samePrediction(t, "batch", out[0], want)
-
-		blob, err := cf.MarshalBinary()
-		if err != nil {
-			t.Fatalf("MarshalBinary: %v", err)
-		}
-		cf2, err := compiled.DecodeBinary(blob)
-		if err != nil {
-			t.Fatalf("DecodeBinary rejected its own encoding: %v", err)
-		}
-		got2, err := cf2.Predict(x)
-		if err != nil {
-			t.Fatalf("decoded Predict: %v", err)
-		}
-		samePrediction(t, "binary-roundtrip", got2, want)
 	})
-}
-
-// FuzzDecodeBinary throws arbitrary bytes at the compiled-forest binary
-// decoder: it must reject or fully validate, never panic, and anything it
-// accepts must survive evaluation and re-encode.
-func FuzzDecodeBinary(f *testing.F) {
-	valid, _ := mustCompiledFixture().MarshalBinary()
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add([]byte("PMLC"))
-	f.Add(valid[:len(valid)/2])
-	corrupted := append([]byte(nil), valid...)
-	corrupted[len(corrupted)-1] ^= 0xff
-	f.Add(corrupted)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		cf, err := compiled.DecodeBinary(data) // must never panic
-		if err != nil {
-			return
-		}
-		x := make([]float64, cf.NumFeatures())
-		if _, err := cf.Predict(x); err != nil {
-			t.Fatalf("accepted forest failed to evaluate: %v", err)
-		}
-		if _, err := cf.MarshalBinary(); err != nil {
-			t.Fatalf("accepted forest failed to re-encode: %v", err)
-		}
-	})
-}
-
-// mustCompiledFixture compiles a small deterministic forest for fuzz seeds.
-func mustCompiledFixture() *compiled.Forest {
-	pf, features := fuzzForest(1, []byte{3, 3, 3, 3})
-	cf, err := compiled.Compile(pf, features)
-	if err != nil {
-		panic(err)
-	}
-	return cf
 }

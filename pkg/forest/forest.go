@@ -8,7 +8,6 @@ package forest
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -65,14 +64,14 @@ type Forest struct {
 	OOB        float64   `json:"oob,omitempty"`
 
 	// onPredict, when set via Instrument, receives the wall time of every
-	// Predict/PredictWith call. Unexported so JSON round-trips ignore it;
+	// Predict call. Unexported so JSON round-trips ignore it;
 	// atomic so a hot-swapped bundle can be instrumented while earlier
 	// generations still serve traffic.
 	onPredict atomic.Pointer[func(seconds float64)]
 }
 
 // Instrument registers fn to receive the wall-clock seconds of every
-// subsequent Predict/PredictWith call — the hook the selector uses to feed
+// subsequent Predict call — the hook the selector uses to feed
 // its per-predict latency histogram without this package depending on the
 // metrics layer. Passing nil removes the hook. Safe to call concurrently
 // with Predict.
@@ -124,43 +123,6 @@ func Margin(probs []float64) float64 {
 	return top - second
 }
 
-// accumulate walks trees[lo:hi] on x, adding each leaf's distribution into
-// acc and its hard vote into votes. Tree indices in errors are absolute.
-func (f *Forest) accumulate(lo, hi int, x []float64, acc []float64, votes []int) error {
-	for ti := lo; ti < hi; ti++ {
-		leaf, err := f.Trees[ti].leafFor(x)
-		if err != nil {
-			return fmt.Errorf("tree %d: %w", ti, err)
-		}
-		if len(leaf.D) != f.NClasses {
-			return fmt.Errorf("tree %d: leaf distribution has %d classes, want %d", ti, len(leaf.D), f.NClasses)
-		}
-		best := 0
-		for c, p := range leaf.D {
-			acc[c] += p
-			if p > leaf.D[best] {
-				best = c
-			}
-		}
-		votes[best]++
-	}
-	return nil
-}
-
-// finalize turns raw accumulated sums into a Prediction (mean distribution
-// plus argmax class, lowest index winning ties).
-func (f *Forest) finalize(acc []float64, votes []int) Prediction {
-	n := float64(len(f.Trees))
-	cls := 0
-	for c := range acc {
-		acc[c] /= n
-		if acc[c] > acc[cls] {
-			cls = c
-		}
-	}
-	return Prediction{Class: cls, Probs: acc, Votes: votes}
-}
-
 // Predict evaluates the forest on x. x must be ordered to match the
 // feature subset the forest was trained on.
 func (f *Forest) Predict(x []float64) (Prediction, error) {
@@ -172,65 +134,32 @@ func (f *Forest) Predict(x []float64) (Prediction, error) {
 	}
 	acc := make([]float64, f.NClasses)
 	votes := make([]int, f.NClasses)
-	if err := f.accumulate(0, len(f.Trees), x, acc, votes); err != nil {
-		return Prediction{}, err
-	}
-	return f.finalize(acc, votes), nil
-}
-
-// PredictWith evaluates the forest on x, splitting the trees across at
-// most workers goroutines. Each worker accumulates a contiguous tree chunk
-// privately; partials merge in chunk order, so the result is deterministic
-// for a fixed worker count. Because floating-point summation order differs
-// from Predict's, probabilities can differ by last-ulp amounts (never
-// enough to flip a non-degenerate argmax). workers <= 1, or a forest
-// smaller than two trees per worker, falls back to sequential Predict.
-func (f *Forest) PredictWith(x []float64, workers int) (Prediction, error) {
-	if workers > len(f.Trees)/2 {
-		workers = len(f.Trees) / 2
-	}
-	if workers <= 1 {
-		return f.Predict(x)
-	}
-	if fn := f.onPredict.Load(); fn != nil {
-		defer func(start time.Time) { (*fn)(time.Since(start).Seconds()) }(time.Now())
-	}
-	type partial struct {
-		acc   []float64
-		votes []int
-		err   error
-	}
-	parts := make([]partial, workers)
-	chunk := (len(f.Trees) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(f.Trees) {
-			hi = len(f.Trees)
+	for ti := range f.Trees {
+		leaf, err := f.Trees[ti].leafFor(x)
+		if err != nil {
+			return Prediction{}, fmt.Errorf("tree %d: %w", ti, err)
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			p := partial{acc: make([]float64, f.NClasses), votes: make([]int, f.NClasses)}
-			p.err = f.accumulate(lo, hi, x, p.acc, p.votes)
-			parts[w] = p
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	acc := make([]float64, f.NClasses)
-	votes := make([]int, f.NClasses)
-	for _, p := range parts {
-		if p.err != nil {
-			return Prediction{}, p.err
+		if len(leaf.D) != f.NClasses {
+			return Prediction{}, fmt.Errorf("tree %d: leaf distribution has %d classes, want %d", ti, len(leaf.D), f.NClasses)
 		}
-		for c := range acc {
-			acc[c] += p.acc[c]
-			votes[c] += p.votes[c]
+		best := 0
+		for c, p := range leaf.D {
+			acc[c] += p
+			if p > leaf.D[best] {
+				best = c
+			}
+		}
+		votes[best]++
+	}
+	n := float64(len(f.Trees))
+	cls := 0
+	for c := range acc {
+		acc[c] /= n
+		if acc[c] > acc[cls] {
+			cls = c
 		}
 	}
-	return f.finalize(acc, votes), nil
+	return Prediction{Class: cls, Probs: acc, Votes: votes}, nil
 }
 
 // Validate checks structural integrity: non-empty ensemble, child indices

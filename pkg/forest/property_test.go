@@ -106,34 +106,6 @@ func TestProbsSumToOneAndArgmaxMatchesClass(t *testing.T) {
 	}
 }
 
-func TestPredictWithMatchesSequential(t *testing.T) {
-	for name, fx := range synthForests(t, 13) {
-		for _, workers := range []int{2, 3, 4, 8} {
-			for i, x := range fx.xs {
-				seq, err := fx.f.Predict(x)
-				if err != nil {
-					t.Fatalf("%s[%d]: %v", name, i, err)
-				}
-				par, err := fx.f.PredictWith(x, workers)
-				if err != nil {
-					t.Fatalf("%s[%d] workers=%d: %v", name, i, workers, err)
-				}
-				if par.Class != seq.Class {
-					t.Errorf("%s[%d] workers=%d: class %d, sequential %d", name, i, workers, par.Class, seq.Class)
-				}
-				if !reflect.DeepEqual(par.Votes, seq.Votes) {
-					t.Errorf("%s[%d] workers=%d: votes %v, sequential %v", name, i, workers, par.Votes, seq.Votes)
-				}
-				for c := range par.Probs {
-					if math.Abs(par.Probs[c]-seq.Probs[c]) > 1e-12 {
-						t.Errorf("%s[%d] workers=%d: prob[%d] %v vs %v", name, i, workers, c, par.Probs[c], seq.Probs[c])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestValidateRejectsOutOfRangeFeatureIndex(t *testing.T) {
 	b, err := synth.New(synth.Config{Seed: 14, Trees: 4, Depth: 4, Features: 5})
 	if err != nil {

@@ -80,8 +80,7 @@ type Shadow struct {
 
 // shadowCell accumulates per-collective agreement evidence.
 type shadowCell struct {
-	samples      uint64
-	agreements   uint64
+	Evidence
 	errors       uint64
 	sumPrimaryNS float64
 	sumCandNS    float64
@@ -280,9 +279,9 @@ func (s *Shadow) evaluate(t shadowTask) {
 		s.mAgreements.Inc(t.collective)
 	}
 	s.mu.Lock()
-	cell.samples++
+	cell.Samples++
 	if agree {
-		cell.agreements++
+		cell.Agreements++
 	}
 	cell.sumPrimaryNS += float64(t.latencyNS)
 	cell.sumCandNS += float64(candNS)
@@ -314,8 +313,7 @@ func (s *Shadow) cell(collective string) *shadowCell {
 // worst-case cost of promoting, not the steady state, since the candidate
 // would enjoy the same cache once promoted.
 type ShadowCollective struct {
-	Samples            uint64  `json:"samples"`
-	Agreements         uint64  `json:"agreements"`
+	Evidence
 	AgreementRate      float64 `json:"agreement_rate"`
 	Errors             uint64  `json:"errors"`
 	PrimaryMeanNS      float64 `json:"primary_mean_latency_ns"`
@@ -349,14 +347,9 @@ func (s *Shadow) Report() ShadowReport {
 		Collectives:         make(map[string]ShadowCollective, len(s.stats)),
 	}
 	for name, c := range s.stats {
-		sc := ShadowCollective{
-			Samples:    c.samples,
-			Agreements: c.agreements,
-			Errors:     c.errors,
-		}
-		if c.samples > 0 {
-			n := float64(c.samples)
-			sc.AgreementRate = float64(c.agreements) / n
+		sc := ShadowCollective{Evidence: c.Evidence, AgreementRate: c.Rate(), Errors: c.errors}
+		if c.Samples > 0 {
+			n := float64(c.Samples)
 			sc.PrimaryMeanNS = c.sumPrimaryNS / n
 			sc.CandidateMeanNS = c.sumCandNS / n
 			sc.LatencyDeltaMeanNS = sc.CandidateMeanNS - sc.PrimaryMeanNS
@@ -364,4 +357,16 @@ func (s *Shadow) Report() ShadowReport {
 		rep.Collectives[name] = sc
 	}
 	return rep
+}
+
+// Evidence sums the agreement evidence over every collective. Callers
+// check CandidateHash or CandidateGeneration first to confirm the report
+// is about their candidate.
+func (r ShadowReport) Evidence() Evidence {
+	var e Evidence
+	for _, c := range r.Collectives {
+		e.Samples += c.Samples
+		e.Agreements += c.Agreements
+	}
+	return e
 }

@@ -44,15 +44,12 @@ type AgentConfig struct {
 	// promote decision. Default 10s; 0 keeps the default, negative values
 	// promote immediately.
 	StageSoak time.Duration
-	// MinAgreement is the local promote gate: with at least
-	// MinShadowSamples of evidence, a candidate below this agreement rate
-	// is rejected (sticky — never retried for the same hash). Default 0.9.
-	MinAgreement float64
-	// MinShadowSamples is the evidence floor for the agreement gate.
-	// Default 20. A candidate with thinner evidence at the soak deadline
-	// promotes on benefit of the doubt — the control plane still gates the
-	// fleet stage on the canary's live heartbeats.
-	MinShadowSamples uint64
+	// Gate judges the soaking candidate's shadow evidence. A fail verdict
+	// rejects it (sticky — never retried for the same hash) and the
+	// rejection heartbeat rolls the fleet back; at the soak deadline a
+	// pending or passing candidate promotes. Zero fields take
+	// registry.DefaultGate's values.
+	Gate registry.Gate
 	// Client overrides the HTTP client (tests). Default: 10s timeout.
 	Client *http.Client
 	// Now overrides the clock (tests).
@@ -77,12 +74,11 @@ type Status struct {
 // candidateState tracks the bundle most recently pulled from the control
 // plane while it soaks toward a promote/reject verdict.
 type candidateState struct {
-	hash      string
-	genID     uint64
-	deadline  time.Time
-	status    string // controlplane.Candidate*
-	samples   uint64
-	agreement float64
+	hash     string
+	genID    uint64
+	deadline time.Time
+	status   string // controlplane.Candidate*
+	evidence registry.Evidence
 }
 
 // Agent is the replica-side fleet member: it polls the control-plane
@@ -135,11 +131,11 @@ func NewAgent(o *obs.Obs, cfg AgentConfig) (*Agent, error) {
 	if cfg.StageSoak == 0 {
 		cfg.StageSoak = 10 * time.Second
 	}
-	if cfg.MinAgreement <= 0 || cfg.MinAgreement > 1 {
-		cfg.MinAgreement = 0.9
+	if cfg.Gate.MinAgreement <= 0 || cfg.Gate.MinAgreement > 1 {
+		cfg.Gate.MinAgreement = registry.DefaultGate.MinAgreement
 	}
-	if cfg.MinShadowSamples == 0 {
-		cfg.MinShadowSamples = 20
+	if cfg.Gate.MinSamples == 0 {
+		cfg.Gate.MinSamples = registry.DefaultGate.MinSamples
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -404,18 +400,9 @@ func (a *Agent) evaluateSoak() {
 	a.mu.Unlock()
 
 	if a.cfg.Shadow != nil {
-		rep := a.cfg.Shadow.Report()
-		if rep.CandidateHash == cand.hash {
-			var samples, agreements uint64
-			for _, c := range rep.Collectives {
-				samples += c.Samples
-				agreements += c.Agreements
-			}
+		if rep := a.cfg.Shadow.Report(); rep.CandidateHash == cand.hash {
 			a.mu.Lock()
-			cand.samples = samples
-			if samples > 0 {
-				cand.agreement = float64(agreements) / float64(samples)
-			}
+			cand.evidence = rep.Evidence()
 			a.mu.Unlock()
 		}
 	}
@@ -426,18 +413,15 @@ func (a *Agent) evaluateSoak() {
 	if a.cand != cand || cand.status != controlplane.CandidateSoaking {
 		return // aborted or replaced while we polled the shadow report
 	}
-	if cand.samples >= a.cfg.MinShadowSamples && cand.agreement < a.cfg.MinAgreement {
+	if verdict, reason := a.cfg.Gate.Judge(cand.evidence); verdict == registry.VerdictFail {
 		cand.status = controlplane.CandidateRejected
-		a.rejected[cand.hash] = fmt.Sprintf("shadow agreement %.3f below %.3f over %d samples",
-			cand.agreement, a.cfg.MinAgreement, cand.samples)
+		a.rejected[cand.hash] = reason
 		if a.cfg.Shadow != nil {
 			a.cfg.Shadow.ClearCandidate()
 		}
 		a.verdicts.Inc("rejected")
 		a.o.Logger.Warn("replica rejected candidate after soak",
-			"hash", shortHash(cand.hash),
-			"agreement", cand.agreement,
-			"samples", cand.samples)
+			"hash", shortHash(cand.hash), "reason", reason)
 		return
 	}
 	if now.Before(cand.deadline) {
@@ -453,9 +437,9 @@ func (a *Agent) evaluateSoak() {
 		a.dropCandidateLocked("manifest no longer desires soaking candidate")
 		return
 	}
-	// Deadline reached without the gate tripping: promote. Thin evidence
-	// promotes on benefit of the doubt — the control plane still gates
-	// the fleet stage on post-promotion heartbeats.
+	// Deadline reached without a fail verdict: promote. Thin (pending)
+	// evidence promotes on benefit of the doubt — the control plane still
+	// gates the fleet stage on the canary's drift and latency heartbeats.
 	if _, err := a.cfg.Registry.Promote(cand.genID); err != nil {
 		cand.status = controlplane.CandidateRejected
 		a.rejected[cand.hash] = "promote failed: " + err.Error()
@@ -469,8 +453,8 @@ func (a *Agent) evaluateSoak() {
 	a.o.Logger.Info("replica promoted candidate after soak",
 		"generation", cand.genID,
 		"hash", shortHash(cand.hash),
-		"agreement", cand.agreement,
-		"samples", cand.samples)
+		"agreement", cand.evidence.Rate(),
+		"samples", cand.evidence.Samples)
 }
 
 // abortWithdrawnCandidate drops a soaking candidate whose hash the
@@ -501,8 +485,8 @@ func (a *Agent) dropCandidateLocked(why string) {
 	a.o.Logger.Info("replica aborted soaking candidate",
 		"hash", shortHash(cand.hash),
 		"reason", why,
-		"samples", cand.samples,
-		"agreement", cand.agreement)
+		"samples", cand.evidence.Samples,
+		"agreement", cand.evidence.Rate())
 }
 
 // fetchBundle pulls bundle bytes by content hash.
@@ -560,7 +544,11 @@ func (a *Agent) sendHeartbeat(ctx context.Context) error {
 func (a *Agent) buildHeartbeat() controlplane.Heartbeat {
 	a.mu.Lock()
 	ring := a.ring
-	cand := a.cand
+	var cand *candidateState
+	if a.cand != nil {
+		c := *a.cand
+		cand = &c
+	}
 	a.mu.Unlock()
 
 	hb := controlplane.Heartbeat{
@@ -577,8 +565,8 @@ func (a *Agent) buildHeartbeat() controlplane.Heartbeat {
 	if cand != nil {
 		hb.CandidateHash = cand.hash
 		hb.CandidateStatus = cand.status
-		hb.CandidateSamples = cand.samples
-		hb.CandidateAgreement = cand.agreement
+		hb.CandidateSamples = cand.evidence.Samples
+		hb.CandidateAgreement = cand.evidence.Rate()
 	}
 	if a.cfg.Health != nil {
 		sum := a.cfg.Health.Summary()

@@ -169,22 +169,22 @@ func TestAgentRejectsHashMismatch(t *testing.T) {
 
 // newSoakingAgent builds an agent with shadow evaluation and a manual
 // clock, so soak deadlines are driven by the test instead of wall time.
-// MinShadowSamples is set high enough that the agreement gate can never
-// trip — only the deadline (and the withdrawal checks) decide.
+// The gate's MinSamples is set high enough that the agreement gate can
+// never trip — only the deadline (and the withdrawal checks) decide.
 func newSoakingAgent(t *testing.T, url string, clock *time.Time) (*Agent, *registry.Registry) {
 	t.Helper()
 	o := obs.NewForTest()
 	sh := registry.NewShadow(o, registry.ShadowConfig{Fraction: 1})
 	reg := registry.New(o, registry.Config{Shadow: sh})
 	a, err := NewAgent(o, AgentConfig{
-		ControlPlane:     url,
-		ReplicaID:        "r-test",
-		Registry:         reg,
-		Shadow:           sh,
-		PollInterval:     10 * time.Millisecond,
-		StageSoak:        10 * time.Second,
-		MinShadowSamples: 1 << 20,
-		Now:              func() time.Time { return *clock },
+		ControlPlane: url,
+		ReplicaID:    "r-test",
+		Registry:     reg,
+		Shadow:       sh,
+		PollInterval: 10 * time.Millisecond,
+		StageSoak:    10 * time.Second,
+		Gate:         registry.Gate{MinSamples: 1 << 20},
+		Now:          func() time.Time { return *clock },
 	})
 	if err != nil {
 		t.Fatalf("NewAgent: %v", err)

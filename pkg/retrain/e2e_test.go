@@ -87,17 +87,17 @@ func TestClosedLoopDriftRetrainPromote(t *testing.T) {
 	}
 
 	ctrl, err := New(o, Config{
-		DriftWindows:     2,
-		DriftPoll:        5 * time.Millisecond,
-		MinRecords:       16,
-		Sweep:            testSweep(),
-		Trainer:          train.Config{Trees: 8, MaxDepth: 8},
-		Seed:             7,
-		HoldoutFloor:     0.5,
-		MarginSlack:      0.5,
-		MinShadowSamples: 8,
-		ShadowTimeout:    30 * time.Second,
-		OutDir:           t.TempDir(),
+		DriftWindows:  2,
+		DriftPoll:     5 * time.Millisecond,
+		MinRecords:    16,
+		Sweep:         testSweep(),
+		Trainer:       train.Config{Trees: 8, MaxDepth: 8},
+		Seed:          7,
+		HoldoutFloor:  0.5,
+		MarginSlack:   0.5,
+		ShadowGate:    registry.Gate{MinSamples: 8},
+		ShadowTimeout: 30 * time.Second,
+		OutDir:        t.TempDir(),
 	}, Deps{Store: store, Registry: reg, Shadow: shadow, Health: health})
 	if err != nil {
 		t.Fatalf("New: %v", err)

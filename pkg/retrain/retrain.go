@@ -111,15 +111,14 @@ type Config struct {
 	// MarginWarn is the low-margin threshold for offline margin scoring;
 	// 0 takes the observatory's threshold, or 0.15 without one.
 	MarginWarn float64
-	// MinShadowSamples gates judging on live shadow evidence: the cycle
-	// waits (up to ShadowTimeout) for this many mirrored decisions
-	// before reading the agreement rate. 0 skips the shadow clause.
-	MinShadowSamples uint64
+	// ShadowGate judges the candidate's live shadow evidence: the cycle
+	// waits (up to ShadowTimeout) until the gate stops pending, and only a
+	// pass wins the clause. MinSamples 0 skips the shadow clause;
+	// MinAgreement defaults to 0 and is raised to the incumbent's own
+	// candidate agreement record when the observatory has one.
+	ShadowGate registry.Gate
 	// ShadowTimeout bounds the shadow-evidence wait (default 30s).
 	ShadowTimeout time.Duration
-	// MinShadowAgreement is the lowest acceptable candidate/incumbent
-	// agreement rate when the shadow clause runs (default 0).
-	MinShadowAgreement float64
 	// OutDir receives candidate bundle files (default the feedback
 	// store's directory).
 	OutDir string
@@ -243,12 +242,15 @@ type Controller struct {
 	state atomic.Int32 // 0 idle, 1 training, 2 judging
 
 	cycleMu sync.Mutex // serializes RunCycle
-	cycles  atomic.Uint64
 
 	driftStreak  atomic.Uint64
 	driftWindows uint64 // last observed completed-window count (run loop only)
 
+	// mu guards the published results. cycles counts finished cycles and
+	// moves in the same critical section that appends the verdict, so a
+	// reader never sees a cycle without its verdict.
 	mu       sync.Mutex
+	cycles   uint64
 	verdicts []Verdict // ring, oldest first
 	promoted uint64
 	retired  uint64
@@ -390,7 +392,9 @@ func (c *Controller) RunCycle(trigger string) Verdict {
 	defer c.cycleMu.Unlock()
 
 	v := Verdict{
-		Cycle:     c.cycles.Add(1),
+		// Only RunCycle writes c.cycles, under cycleMu, so this read needs
+		// no c.mu and the number stays unique until it is published.
+		Cycle:     c.cycles + 1,
 		Trigger:   trigger,
 		StartedAt: time.Now(),
 	}
@@ -405,6 +409,7 @@ func (c *Controller) RunCycle(trigger string) Verdict {
 
 	c.cCycles.Inc(v.Outcome)
 	c.mu.Lock()
+	c.cycles = v.Cycle
 	c.verdicts = append(c.verdicts, v)
 	if len(c.verdicts) > c.cfg.History {
 		c.verdicts = c.verdicts[len(c.verdicts)-c.cfg.History:]
@@ -587,56 +592,44 @@ func (c *Controller) judge(v *Verdict, g *registry.Generation, holdout *dataset.
 		return false, fmt.Sprintf("low-margin rate %.4f exceeds incumbent %.4f plus slack %.4f",
 			candLow, v.IncumbentLowMargin, c.cfg.MarginSlack)
 	}
-	// Clause 3: live shadow agreement, when configured.
-	if c.cfg.MinShadowSamples > 0 && c.deps.Shadow != nil {
-		samples, agreement, ok := c.awaitShadow(g)
-		v.ShadowSamples = samples
-		v.ShadowAgreement = agreement
-		if !ok {
-			return false, fmt.Sprintf("shadow evidence: %d/%d samples within %s",
-				samples, c.cfg.MinShadowSamples, c.cfg.ShadowTimeout)
-		}
-		if agreement < c.cfg.MinShadowAgreement {
-			return false, fmt.Sprintf("shadow agreement %.4f below minimum %.4f",
-				agreement, c.cfg.MinShadowAgreement)
-		}
+	// Clause 3: live shadow agreement, when configured. The candidate must
+	// also agree at least as well as the incumbent did as a candidate.
+	if c.cfg.ShadowGate.MinSamples > 0 && c.deps.Shadow != nil {
+		gate := c.cfg.ShadowGate
 		if c.deps.Health != nil {
-			if card, ok := c.deps.Health.ActiveScorecard(); ok && card.Generation == incumbentGen &&
-				card.ShadowSamples > 0 && agreement < card.ShadowAgreeRate {
-				return false, fmt.Sprintf("shadow agreement %.4f below incumbent's own candidate record %.4f",
-					agreement, card.ShadowAgreeRate)
+			if card, ok := c.deps.Health.ActiveScorecard(); ok && card.Generation == incumbentGen && card.ShadowSamples > 0 {
+				gate.MinAgreement = max(gate.MinAgreement, card.ShadowAgreeRate)
 			}
+		}
+		ev, verdict, reason := c.awaitShadow(g, gate)
+		v.ShadowSamples = ev.Samples
+		v.ShadowAgreement = ev.Rate()
+		switch verdict {
+		case registry.VerdictPending:
+			return false, fmt.Sprintf("shadow evidence: %s within %s", reason, c.cfg.ShadowTimeout)
+		case registry.VerdictFail:
+			return false, reason
 		}
 	}
 	return true, ""
 }
 
-// awaitShadow polls the shadow evaluator until the candidate has collected
-// MinShadowSamples mirrored decisions or the timeout lapses.
-func (c *Controller) awaitShadow(g *registry.Generation) (samples uint64, agreement float64, ok bool) {
+// awaitShadow polls the candidate's shadow evidence until gate stops
+// judging it pending, the timeout lapses, or the controller stops.
+func (c *Controller) awaitShadow(g *registry.Generation, gate registry.Gate) (registry.Evidence, registry.Verdict, string) {
 	deadline := time.Now().Add(c.cfg.ShadowTimeout)
 	for {
-		rep := c.deps.Shadow.Report()
-		samples, agreement = 0, 0
-		var agreed uint64
-		if rep.CandidateGeneration == g.ID() {
-			for _, cell := range rep.Collectives {
-				samples += cell.Samples
-				agreed += cell.Agreements
-			}
+		var ev registry.Evidence
+		if rep := c.deps.Shadow.Report(); rep.CandidateGeneration == g.ID() {
+			ev = rep.Evidence()
 		}
-		if samples > 0 {
-			agreement = float64(agreed) / float64(samples)
-		}
-		if samples >= c.cfg.MinShadowSamples {
-			return samples, agreement, true
-		}
-		if time.Now().After(deadline) {
-			return samples, agreement, false
+		verdict, reason := gate.Judge(ev)
+		if verdict != registry.VerdictPending || time.Now().After(deadline) {
+			return ev, verdict, reason
 		}
 		select {
 		case <-c.done:
-			return samples, agreement, false
+			return ev, verdict, reason
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
@@ -687,7 +680,7 @@ func (c *Controller) Report() Report {
 	for i := range c.verdicts {
 		verdicts[len(c.verdicts)-1-i] = c.verdicts[i]
 	}
-	promoted, retired := c.promoted, c.retired
+	cycles, promoted, retired := c.cycles, c.promoted, c.retired
 	c.mu.Unlock()
 	return Report{
 		State:            c.State(),
@@ -696,7 +689,7 @@ func (c *Controller) Report() Report {
 		MinRecords:       c.cfg.MinRecords,
 		DriftWindows:     c.cfg.DriftWindows,
 		DriftAlertStreak: c.driftStreak.Load(),
-		Cycles:           c.cycles.Load(),
+		Cycles:           cycles,
 		Promoted:         promoted,
 		Retired:          retired,
 		Feedback:         c.deps.Store.Snapshot(),
@@ -709,11 +702,11 @@ func (c *Controller) Summarize() Summary {
 	s := Summary{
 		State:            c.State(),
 		Policy:           c.cfg.PromotePolicy,
-		Cycles:           c.cycles.Load(),
 		DriftAlertStreak: c.driftStreak.Load(),
 		FeedbackResident: c.deps.Store.Resident(),
 	}
 	c.mu.Lock()
+	s.Cycles = c.cycles
 	s.Promoted = c.promoted
 	if n := len(c.verdicts); n > 0 {
 		last := c.verdicts[n-1]

@@ -3,7 +3,10 @@ package retrain
 import (
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/pml-mpi/pmlmpi/pkg/dataset"
 	"github.com/pml-mpi/pmlmpi/pkg/feedback"
@@ -228,6 +231,70 @@ func TestRunCycleRetiresLosingCandidate(t *testing.T) {
 	}
 	if rep := c.Report(); rep.Retired != 1 {
 		t.Fatalf("report retired = %d, want 1", rep.Retired)
+	}
+}
+
+func TestRunCycleRetiresCandidateWithoutShadowVerdict(t *testing.T) {
+	h := newHarness(t)
+	seedFeedback(t, h.store)
+	// No traffic reaches the shadow evaluator, so the gate stays pending
+	// until the timeout and the candidate must not win on silence.
+	c := h.controller(t, Config{
+		ShadowGate:    registry.Gate{MinSamples: 8},
+		ShadowTimeout: 100 * time.Millisecond,
+	})
+	v := c.RunCycle("manual")
+	if v.Outcome != OutcomeRetired {
+		t.Fatalf("outcome = %s detail %q, want %s", v.Outcome, v.Detail, OutcomeRetired)
+	}
+	if !strings.Contains(v.Detail, "0/8 shadow samples") {
+		t.Fatalf("retirement detail %q does not report the pending shadow evidence", v.Detail)
+	}
+	if _, gen := h.reg.Active(); gen != h.incGen {
+		t.Fatalf("candidate without shadow evidence went active: generation %d", gen)
+	}
+}
+
+// TestReportCountsOnlyPublishedCycles runs fast skip cycles while readers
+// poll Report and Summarize: a cycle must never be counted before its
+// verdict is readable.
+func TestReportCountsOnlyPublishedCycles(t *testing.T) {
+	h := newHarness(t)
+	const history = 8
+	c := h.controller(t, Config{MinRecords: 1 << 20, History: history})
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				rep := c.Report()
+				if want := min(rep.Cycles, history); uint64(len(rep.Verdicts)) != want {
+					t.Errorf("report shows %d cycles but %d verdicts", rep.Cycles, len(rep.Verdicts))
+					return
+				}
+				if len(rep.Verdicts) > 0 && rep.Verdicts[0].Cycle != rep.Cycles {
+					t.Errorf("newest verdict is cycle %d, report counts %d", rep.Verdicts[0].Cycle, rep.Cycles)
+					return
+				}
+				if sum := c.Summarize(); sum.Cycles > 0 && sum.LastOutcome == "" {
+					t.Errorf("summary counts %d cycles with no last outcome", sum.Cycles)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 500; i++ {
+		if v := c.RunCycle("manual"); v.Outcome != OutcomeSkippedRecords {
+			t.Fatalf("cycle %d outcome = %s, want %s", i, v.Outcome, OutcomeSkippedRecords)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if rep := c.Report(); rep.Cycles != 500 || len(rep.Verdicts) != history {
+		t.Fatalf("final report: %d cycles, %d verdicts", rep.Cycles, len(rep.Verdicts))
 	}
 }
 

@@ -93,12 +93,6 @@ type Config struct {
 	CacheQuantum float64
 	// BatchWorkers bounds SelectBatch's worker pool (default GOMAXPROCS).
 	BatchWorkers int
-	// ParallelTreeThreshold enables concurrent tree evaluation for forests
-	// with at least this many trees (0 disables it — the default — since
-	// goroutine fan-out only pays off for large ensembles). It only applies
-	// to the pointer evaluator; the compiled evaluator parallelizes by
-	// vector in PredictBatch instead.
-	ParallelTreeThreshold int
 	// ForestEval picks the forest evaluator: EvalCompiled (the default,
 	// used when empty) or EvalPointer. Both produce bit-identical
 	// predictions; pointer is the differential reference.
@@ -142,10 +136,8 @@ type Selector struct {
 	slo        SLOSink
 	health     *modelhealth.Observatory
 
-	batchWorkers  int
-	parallelTrees int
-	treeWorkers   int
-	forestEval    string
+	batchWorkers int
+	forestEval   string
 
 	selections *obs.Counter
 	selErrors  *obs.Counter
@@ -198,30 +190,24 @@ func NewFromSource(src Source, o *obs.Obs, cfg Config) *Selector {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	treeWorkers := runtime.GOMAXPROCS(0)
-	if treeWorkers > 8 {
-		treeWorkers = 8
-	}
 	evalMode := cfg.ForestEval
 	if evalMode == "" {
 		evalMode = EvalCompiled
 	}
 	reg := o.Registry
 	s := &Selector{
-		src:           src,
-		o:             o,
-		algorithms:    algos,
-		ring:          newDecisionRing(cfg.RingSize),
-		cache:         cfg.Cache,
-		quantum:       quantum,
-		batchWorkers:  workers,
-		parallelTrees: cfg.ParallelTreeThreshold,
-		treeWorkers:   treeWorkers,
-		forestEval:    evalMode,
-		shadow:        cfg.Shadow,
-		slo:           cfg.SLO,
-		health:        cfg.Health,
-		agg:           analytics.New(nil),
+		src:          src,
+		o:            o,
+		algorithms:   algos,
+		ring:         newDecisionRing(cfg.RingSize),
+		cache:        cfg.Cache,
+		quantum:      quantum,
+		batchWorkers: workers,
+		forestEval:   evalMode,
+		shadow:       cfg.Shadow,
+		slo:          cfg.SLO,
+		health:       cfg.Health,
+		agg:          analytics.New(nil),
 		selections: reg.Counter("pmlmpi_selections_total",
 			"Completed algorithm selections.", "collective", "algorithm"),
 		selErrors: reg.Counter("pmlmpi_selection_errors_total",
@@ -538,16 +524,12 @@ func (s *Selector) selectTraced(ctx context.Context, b *bundle.Bundle, gen uint6
 // predict runs the forest through the configured evaluator. In compiled
 // mode (the default) it uses the collective's SoA forest, falling back to
 // the pointer walk only if compilation failed for an in-memory bundle. In
-// pointer mode it keeps the reference walk, fanning tree evaluation out
-// across goroutines when the ensemble is large enough for that to pay off.
+// pointer mode it keeps the reference walk.
 func (s *Selector) predict(c *bundle.Collective, x []float64) (forest.Prediction, error) {
 	if s.forestEval != EvalPointer {
 		if cf := c.Compiled(); cf != nil {
 			return cf.Predict(x)
 		}
-	}
-	if s.parallelTrees > 0 && len(c.Forest.Trees) >= s.parallelTrees {
-		return c.Forest.PredictWith(x, s.treeWorkers)
 	}
 	return c.Forest.Predict(x)
 }
