@@ -201,11 +201,13 @@ func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
 		elapsed := time.Since(start)
 		s.httpRequests.Inc(path, strconv.Itoa(sr.code))
 		s.httpLatency.Observe(elapsed.Seconds(), path)
-		s.o.Logger.WithCtx(ctx).Debug("http request",
-			"method", r.Method,
-			"path", path,
-			"code", sr.code,
-			"duration_us", float64(elapsed.Microseconds()))
+		if s.o.Logger.Enabled(obs.LevelDebug) {
+			s.o.Logger.WithCtx(ctx).Debug("http request",
+				"method", r.Method,
+				"path", path,
+				"code", sr.code,
+				"duration_us", float64(elapsed.Microseconds()))
+		}
 	}
 }
 
@@ -424,7 +426,12 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, d)
+	b, err := d.AppendJSON(make([]byte, 0, 1024))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode response: "+err.Error())
+		return
+	}
+	writeBody(w, http.StatusOK, b)
 }
 
 // MaxBatchItems bounds one /v1/select/batch request.
@@ -433,22 +440,6 @@ const MaxBatchItems = 1024
 // batchRequest is the /v1/select/batch request body.
 type batchRequest struct {
 	Requests []selector.BatchRequest `json:"requests"`
-}
-
-// batchItemResponse is one entry of the /v1/select/batch response's
-// "results" array. Exactly one of Decision and Error is set.
-type batchItemResponse struct {
-	Decision *selector.Decision `json:"decision,omitempty"`
-	Error    string             `json:"error,omitempty"`
-}
-
-// batchResponse is the /v1/select/batch response body. The results array
-// is positional: results[i] answers requests[i]. Item failures are
-// reported inline with HTTP 200; only malformed envelopes get 4xx.
-type batchResponse struct {
-	Count   int                 `json:"count"`
-	Errors  int                 `json:"errors"`
-	Results []batchItemResponse `json:"results"`
 }
 
 func (s *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
@@ -467,16 +458,50 @@ func (s *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := s.sel.SelectBatch(r.Context(), req.Requests)
-	resp := batchResponse{Count: len(results), Results: make([]batchItemResponse, len(results))}
-	for i, res := range results {
+	b, err := appendBatchResponse(make([]byte, 0, 640*len(results)), results)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode response: "+err.Error())
+		return
+	}
+	writeBody(w, http.StatusOK, b)
+}
+
+// appendBatchResponse encodes the /v1/select/batch response body,
+// {"count":n,"errors":e,"results":[...]}. The results array is
+// positional: results[i] answers requests[i], as {"decision":{...}} or
+// {"error":"..."}. Item failures are reported inline with HTTP 200; only
+// malformed envelopes get 4xx.
+func appendBatchResponse(b []byte, results []selector.BatchResult) ([]byte, error) {
+	errs := 0
+	for _, res := range results {
 		if res.Err != nil {
-			resp.Errors++
-			resp.Results[i] = batchItemResponse{Error: res.Err.Error()}
+			errs++
+		}
+	}
+	b = append(b, `{"count":`...)
+	b = strconv.AppendInt(b, int64(len(results)), 10)
+	b = append(b, `,"errors":`...)
+	b = strconv.AppendInt(b, int64(errs), 10)
+	b = append(b, `,"results":[`...)
+	for i, res := range results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if res.Err != nil {
+			msg, _ := json.Marshal(res.Err.Error())
+			b = append(b, `{"error":`...)
+			b = append(b, msg...)
+			b = append(b, '}')
 			continue
 		}
-		resp.Results[i] = batchItemResponse{Decision: res.Decision}
+		b = append(b, `{"decision":`...)
+		var err error
+		if b, err = res.Decision.AppendJSON(b); err != nil {
+			return nil, err
+		}
+		b = append(b, '}')
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return append(b, ']', '}'), nil
 }
 
 // handleRegistry lists resident generations and the active one.
@@ -676,14 +701,26 @@ func readAll(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error
 	return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 }
 
+// writeJSON answers code with v as compact JSON. A value that cannot be
+// encoded is answered 500, never as a truncated body under code.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode response: "+err.Error())
+		return
+	}
+	writeBody(w, code, b)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	writeJSON(w, code, struct {
+		Error string `json:"error"`
+	}{msg})
+}
+
+// writeBody sends an encoded JSON body, newline-terminated, in one Write.
+func writeBody(w http.ResponseWriter, code int, b []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(append(b, '\n'))
 }

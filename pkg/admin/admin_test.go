@@ -342,8 +342,8 @@ func TestMetricsExposeCacheAndBatchInstruments(t *testing.T) {
 	srv := New(sel, o, Config{})
 
 	item := `{"collective":"alltoall","features":{"log2_msg_size":22,"ppn":48,"num_nodes":32,"mem_bw_gbs":204.8,"thread_count":96}}`
-	post(t, srv, "/v1/select", item)                             // miss
-	post(t, srv, "/v1/select", item)                             // hit
+	post(t, srv, "/v1/select", item)                            // miss
+	post(t, srv, "/v1/select", item)                            // hit
 	post(t, srv, "/v1/select/batch", `{"requests":[`+item+`]}`) // hit via batch
 
 	body := get(t, srv, "/metrics").Body.String()

@@ -340,14 +340,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.o.Registry.WritePrometheus(w)
 }
 
+// writeJSON answers code with v as compact JSON. A value that cannot be
+// encoded is answered 500, never as a truncated body under code.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode response: "+err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(append(b, '\n'))
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	writeJSON(w, code, struct {
+		Error string `json:"error"`
+	}{msg})
 }

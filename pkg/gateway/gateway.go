@@ -433,14 +433,18 @@ type pendingItem struct {
 	attempts int
 }
 
+// batchBody is a /v1/select/batch request body, as received and as sent
+// on to each replica.
+type batchBody struct {
+	Requests []selector.BatchRequest `json:"requests"`
+}
+
 // handleSelectBatch splits a batch along partition boundaries: each item
 // routes to its own key's owner, sub-batches fly per replica, and the
 // positional envelope is reassembled. Items on a failed replica re-route
 // (bounded per-item attempts) in later rounds without failing the call.
 func (g *Gateway) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Requests []selector.BatchRequest `json:"requests"`
-	}
+	var req batchBody
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
@@ -476,7 +480,7 @@ func (g *Gateway) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 			for i, it := range items {
 				sub[i] = it.req
 			}
-			body, _ := json.Marshal(map[string]any{"requests": sub})
+			body, _ := json.Marshal(batchBody{Requests: sub})
 			res, err := g.tryReplica(r.Context(), rp, "/v1/select/batch", body)
 			if err == nil && res.status == http.StatusOK {
 				var parsed struct {
@@ -690,14 +694,21 @@ func errString(err error) string {
 	return err.Error()
 }
 
+// writeJSON answers code with v as compact JSON. A value that cannot be
+// encoded is answered 500, never as a truncated body under code.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode response: "+err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(append(b, '\n'))
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	writeJSON(w, code, struct {
+		Error string `json:"error"`
+	}{msg})
 }

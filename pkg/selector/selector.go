@@ -513,11 +513,13 @@ func (s *Selector) selectTraced(ctx context.Context, b *bundle.Bundle, gen uint6
 	}
 	s.ring.add(d)
 
-	s.o.Logger.WithCtx(ctx).Info("selection",
-		"collective", collective,
-		"algorithm", algo,
-		"class", pred.Class,
-		"latency_us", float64(elapsed.Microseconds()))
+	if s.o.Logger.Enabled(obs.LevelDebug) {
+		s.o.Logger.WithCtx(ctx).Debug("selection",
+			"collective", collective,
+			"algorithm", algo,
+			"class", pred.Class,
+			"latency_us", float64(elapsed.Microseconds()))
+	}
 	return &d, nil
 }
 

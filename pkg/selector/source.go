@@ -27,7 +27,7 @@ type staticSource struct{ b *bundle.Bundle }
 // never notifies subscribers.
 func Static(b *bundle.Bundle) Source { return staticSource{b: b} }
 
-func (s staticSource) Active() (*bundle.Bundle, uint64)        { return s.b, 0 }
+func (s staticSource) Active() (*bundle.Bundle, uint64)       { return s.b, 0 }
 func (s staticSource) Subscribe(func(*bundle.Bundle, uint64)) {}
 
 // ShadowSink receives completed live decisions so a staged candidate model

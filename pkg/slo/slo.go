@@ -115,7 +115,7 @@ type Window struct {
 	// SlowFraction is the share of selects slower than the latency objective.
 	SlowFraction float64 `json:"slow_fraction"`
 	// LatencyBurnRate is SlowFraction / 0.01 (the budget a p99 objective allows).
-	LatencyBurnRate float64 `json:"latency_burn_rate"`
+	LatencyBurnRate float64     `json:"latency_burn_rate"`
 	Latency         obs.Summary `json:"latency"`
 }
 
